@@ -173,6 +173,7 @@ struct StormRow {
     l2_hits: u64,
     misses: u64,
     stale_hits: u64,
+    admit_deferred: u64,
     hit_rate: f64,
 }
 
@@ -249,6 +250,7 @@ fn run_storm(
         l2_hits: cs.l2_hits,
         misses: cs.misses,
         stale_hits: cs.stale_hits,
+        admit_deferred: cs.admit_deferred,
         hit_rate: cs.hit_rate(),
     };
     (row, fps)
@@ -272,10 +274,10 @@ fn check_row(r: &StormRow) {
 }
 
 fn print_rows(rows: &[StormRow]) {
-    let widths = [7usize, 5, 9, 9, 9, 9, 9, 8, 8, 8, 6, 5, 6];
+    let widths = [7usize, 5, 9, 9, 9, 9, 9, 8, 8, 8, 6, 5, 6, 8];
     let header = [
         "workers", "cache", "offered", "accepted", "rejected", "done", "qps", "p50ms", "p99ms",
-        "p999ms", "waves", "shed", "hit%",
+        "p999ms", "waves", "shed", "hit%", "deferred",
     ];
     println!(
         "{}",
@@ -299,6 +301,7 @@ fn print_rows(rows: &[StormRow]) {
                     r.waves.to_string(),
                     r.shed_waves.to_string(),
                     format!("{:.1}", r.hit_rate * 100.0),
+                    r.admit_deferred.to_string(),
                 ],
                 &widths
             )
@@ -316,7 +319,7 @@ fn write_json(rows: &[StormRow], file: &str) {
              \"achieved_qps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
              \"waves\": {}, \"shed_waves\": {}, \"ledger_conflicts\": {}, \
              \"cache_hit_rate\": {:.4}, \"l1_hits\": {}, \"l2_hits\": {}, \"cache_misses\": {}, \
-             \"stale_hits\": {}, \"slo_ms\": {SLO_MS}, \"holds_slo\": {}}}{sep}\n",
+             \"stale_hits\": {}, \"admit_deferred\": {}, \"slo_ms\": {SLO_MS}, \"holds_slo\": {}}}{sep}\n",
             r.workers,
             r.cache,
             r.similarity,
@@ -337,6 +340,7 @@ fn write_json(rows: &[StormRow], file: &str) {
             r.l2_hits,
             r.misses,
             r.stale_hits,
+            r.admit_deferred,
             holds_slo(r),
         ));
     }

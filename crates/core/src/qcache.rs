@@ -53,12 +53,25 @@
 //!   In the steady state (all hits, no refresh) publishing is a no-op —
 //!   no clone, no allocation.
 //!
+//! # Admission
+//!
+//! A miss stores its result only on the problem's *second sighting*.
+//! Each L1 keeps a small direct-mapped doorkeeper of recently missed
+//! problem fingerprints (the TinyLFU idea); a first-sighting miss only
+//! records its fingerprint there, so one-off queries clone nothing,
+//! allocate nothing and never reach L2. The fingerprints ignore epoch,
+//! reservation mask and rung, so a problem that repeats across a
+//! snapshot refresh is admitted on its first miss under the new epoch.
+//! Admission decides only *which* results are stored: a slot collision
+//! can at worst delay one, and a hit still needs the full structural key
+//! match, so no answer can change.
+//!
 //! Hits are audited: every hit compares the entry's recorded epoch with
 //! the live snapshot's epoch and counts mismatches in `cache.stale_hit`.
 //! Because the epoch is *in* the key this counter must stay zero; the
 //! equivalence suite and the storm bench assert exactly that.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -108,6 +121,9 @@ pub struct CacheStats {
     /// Hits whose entry epoch mismatched the live snapshot epoch.
     /// Must be zero — the epoch is part of the key.
     pub stale_hits: u64,
+    /// Misses not stored because they were their problem's first
+    /// sighting (see the module docs on admission).
+    pub admit_deferred: u64,
     /// L2 entries dropped by epoch sweeps since the plane started.
     pub invalidated: u64,
     /// Current L2 entry count.
@@ -137,32 +153,62 @@ impl CacheStats {
     }
 }
 
-/// Borrowed key components of one lookup. Hashing walks the problem
-/// structurally; nothing is allocated until an insert actually clones
-/// the problem into the stored entry.
+/// Slots in each L1's admission doorkeeper. A power of two; 8 KiB of
+/// fingerprints per worker.
+const DOORKEEPER_SLOTS: usize = 1024;
+
+/// Borrowed key components of one lookup, with the problem fingerprint
+/// and the bucket hash computed once by [`KeyParts::new`] and reused by
+/// the L1 probe, the L2 probe, the doorkeeper and the insert. Nothing is
+/// allocated until an admitted insert clones the problem into the
+/// stored entry.
 pub(crate) struct KeyParts<'a> {
-    pub problem: &'a Problem,
-    pub epoch: u64,
+    problem: &'a Problem,
+    epoch: u64,
     /// Mentioned addresses currently reserved in the caller's view,
     /// sorted ascending.
-    pub reserved: &'a [Address],
-    pub rung: DegradationRung,
-    pub shed: bool,
-    pub method: EvalMethod,
-    pub strategy: EvalStrategy,
+    reserved: &'a [Address],
+    rung: DegradationRung,
+    shed: bool,
+    method: EvalMethod,
+    strategy: EvalStrategy,
+    /// [`fingerprint_problem`] of `problem`: epoch-free, feeds the
+    /// doorkeeper.
+    fingerprint: u64,
+    /// Bucket hash over every key component.
+    hash: u64,
 }
 
-impl KeyParts<'_> {
-    fn hash64(&self) -> u64 {
+impl<'a> KeyParts<'a> {
+    pub fn new(
+        problem: &'a Problem,
+        epoch: u64,
+        reserved: &'a [Address],
+        rung: DegradationRung,
+        shed: bool,
+        method: EvalMethod,
+        strategy: EvalStrategy,
+    ) -> Self {
+        let fingerprint = fingerprint_problem(problem);
         let mut h = DefaultHasher::new();
-        fingerprint_problem(self.problem).hash(&mut h);
-        self.epoch.hash(&mut h);
-        self.reserved.hash(&mut h);
-        self.rung.hash(&mut h);
-        self.shed.hash(&mut h);
-        self.method.hash(&mut h);
-        self.strategy.hash(&mut h);
-        h.finish()
+        fingerprint.hash(&mut h);
+        epoch.hash(&mut h);
+        reserved.hash(&mut h);
+        rung.hash(&mut h);
+        shed.hash(&mut h);
+        method.hash(&mut h);
+        strategy.hash(&mut h);
+        KeyParts {
+            problem,
+            epoch,
+            reserved,
+            rung,
+            shed,
+            method,
+            strategy,
+            fingerprint,
+            hash: h.finish(),
+        }
     }
 }
 
@@ -209,6 +255,22 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
+    /// The stored form of `k`; clones the problem.
+    fn new(k: &KeyParts<'_>, seq: u64, value: Arc<CachedSearch>) -> Self {
+        Entry {
+            hash: k.hash,
+            problem: Arc::new(k.problem.clone()),
+            epoch: k.epoch,
+            reserved: k.reserved.to_vec(),
+            rung: k.rung,
+            shed: k.shed,
+            method: k.method,
+            strategy: k.strategy,
+            seq,
+            value,
+        }
+    }
+
     fn matches(&self, k: &KeyParts<'_>) -> bool {
         self.epoch == k.epoch
             && self.shed == k.shed
@@ -234,8 +296,19 @@ pub(crate) type SharedMap = HashMap<u64, Vec<Entry>>;
 /// Looks `k` up in a pinned L2 view. Lock-free: the view is an
 /// immutable snapshot published before the wave started.
 pub(crate) fn lookup_shared(map: &SharedMap, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-    let bucket = map.get(&k.hash64())?;
+    let bucket = map.get(&k.hash)?;
     bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
+}
+
+/// What [`QueryCache::insert`] did with a missed result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Second sighting: stored in L1 and queued for L2.
+    Stored,
+    /// First sighting: only the problem fingerprint was recorded.
+    Deferred,
+    /// Cache off or zero L1 capacity: nothing recorded.
+    Off,
 }
 
 /// One fingerprint bucket of compiled artifacts: hash collisions are
@@ -254,6 +327,10 @@ pub(crate) struct QueryCache {
     /// Entries inserted since the last [`QueryCache::take_fresh`]; the
     /// serving plane drains these into L2 between waves.
     fresh: Vec<Entry>,
+    /// Admission doorkeeper: the last missed problem fingerprint seen in
+    /// each of [`DOORKEEPER_SLOTS`] slots, indexed by its low bits. An
+    /// empty slot holds 0.
+    doorkeeper: Box<[u64]>,
     /// Compiled packet-level artifacts keyed by problem fingerprint,
     /// verified against the exact problem.
     artifacts: HashMap<u64, ArtifactBucket>,
@@ -269,6 +346,7 @@ impl QueryCache {
             seq: 0,
             bytes: 0,
             fresh: Vec::new(),
+            doorkeeper: vec![0; DOORKEEPER_SLOTS].into_boxed_slice(),
             artifacts: HashMap::new(),
             artifact_order: VecDeque::new(),
         }
@@ -279,35 +357,30 @@ impl QueryCache {
     }
 
     pub fn lookup(&self, k: &KeyParts<'_>) -> Option<Arc<CachedSearch>> {
-        let bucket = self.map.get(&k.hash64())?;
+        let bucket = self.map.get(&k.hash)?;
         bucket.iter().find(|e| e.matches(k)).map(|e| e.value.clone())
     }
 
-    /// Stores a freshly computed search result under `k`. The problem is
-    /// cloned exactly once, into the shared `Arc` the L2 entry will
-    /// reuse.
-    pub fn insert(&mut self, k: &KeyParts<'_>, value: Arc<CachedSearch>) {
+    /// Offers the result of a missed search under `k`. On the problem's
+    /// first sighting this only records its fingerprint; on a repeat it
+    /// builds the value, clones the problem exactly once into the shared
+    /// `Arc` the L2 entry will reuse, and stores the entry.
+    pub fn insert(&mut self, k: &KeyParts<'_>, value: impl FnOnce() -> CachedSearch) -> Admission {
         if !self.cfg.enabled || self.cfg.l1_entries == 0 {
-            return;
+            return Admission::Off;
         }
-        let hash = k.hash64();
-        let entry = Entry {
-            hash,
-            problem: Arc::new(k.problem.clone()),
-            epoch: k.epoch,
-            reserved: k.reserved.to_vec(),
-            rung: k.rung,
-            shed: k.shed,
-            method: k.method,
-            strategy: k.strategy,
-            seq: self.seq,
-            value,
-        };
+        let slot = &mut self.doorkeeper[k.fingerprint as usize & (DOORKEEPER_SLOTS - 1)];
+        let seen = *slot == k.fingerprint;
+        *slot = k.fingerprint;
+        if !seen {
+            return Admission::Deferred;
+        }
+        let entry = Entry::new(k, self.seq, Arc::new(value()));
         self.seq += 1;
         self.bytes += entry.approx_bytes();
         self.fresh.push(entry.clone());
-        self.order.push_back((hash, entry.seq));
-        self.map.entry(hash).or_default().push(entry);
+        self.order.push_back((entry.hash, entry.seq));
+        self.map.entry(entry.hash).or_default().push(entry);
         while self.order.len() > self.cfg.l1_entries {
             let (h, s) = self.order.pop_front().expect("order non-empty");
             if let Some(bucket) = self.map.get_mut(&h) {
@@ -320,6 +393,7 @@ impl QueryCache {
                 }
             }
         }
+        Admission::Stored
     }
 
     /// Drains the entries inserted since the last call (for L2 publish).
@@ -382,7 +456,6 @@ pub(crate) struct SharedCache {
     /// FIFO of (bucket hash, entry seq) mirroring the published map.
     order: VecDeque<(u64, u64)>,
     seq: u64,
-    len: usize,
     bytes: u64,
     invalidated: u64,
 }
@@ -394,7 +467,6 @@ impl SharedCache {
             cap,
             order: VecDeque::new(),
             seq: 0,
-            len: 0,
             bytes: 0,
             invalidated: 0,
         }
@@ -411,41 +483,39 @@ impl SharedCache {
     /// on refresh, so sweeping otherwise is wasted work). Returns the
     /// number of entries invalidated by the sweep. The steady-state
     /// fast path — nothing fresh, nothing to sweep — publishes nothing
-    /// and allocates nothing.
+    /// and allocates nothing. The map is updated in place once no wave
+    /// pins it any more, and cloned only while one still does.
     pub fn publish(&mut self, fresh: Vec<Entry>, live_epochs: &[u64], sweep: bool) -> u64 {
-        let needs_sweep = sweep && {
-            let cur = self.current.lock().expect("shared cache poisoned");
-            cur.values()
-                .flatten()
-                .any(|e| !live_epochs.contains(&e.epoch))
-        };
+        let mut live = Vec::new();
+        if sweep {
+            live.extend_from_slice(live_epochs);
+            live.sort_unstable();
+        }
+        let is_live = |e: &Entry| live.binary_search(&e.epoch).is_ok();
+        let mut cur = self.current.lock().expect("shared cache poisoned");
+        let needs_sweep = sweep && cur.values().flatten().any(|e| !is_live(e));
         if fresh.is_empty() && !needs_sweep {
             return 0;
         }
 
-        let mut map: SharedMap = {
-            let cur = self.current.lock().expect("shared cache poisoned");
-            (**cur).clone()
-        };
+        let map = Arc::make_mut(&mut cur);
         let mut dropped = 0u64;
         if needs_sweep {
-            let order = &mut self.order;
+            let mut dead: HashSet<(u64, u64)> = HashSet::new();
             let bytes = &mut self.bytes;
             map.retain(|_, bucket| {
                 bucket.retain(|e| {
-                    let live = live_epochs.contains(&e.epoch);
-                    if !live {
-                        dropped += 1;
+                    let keep = is_live(e);
+                    if !keep {
                         *bytes = bytes.saturating_sub(e.approx_bytes());
-                        if let Some(i) = order.iter().position(|&(h, s)| h == e.hash && s == e.seq)
-                        {
-                            order.remove(i);
-                        }
+                        dead.insert((e.hash, e.seq));
                     }
-                    live
+                    keep
                 });
                 !bucket.is_empty()
             });
+            self.order.retain(|k| !dead.contains(k));
+            dropped = dead.len() as u64;
         }
         for mut e in fresh {
             // Skip entries another worker (or an earlier wave) already
@@ -462,7 +532,6 @@ impl SharedCache {
             self.bytes += e.approx_bytes();
             self.order.push_back((e.hash, e.seq));
             map.entry(e.hash).or_default().push(e);
-            self.len += 1;
         }
         while self.order.len() > self.cap {
             let (h, s) = self.order.pop_front().expect("order non-empty");
@@ -476,14 +545,12 @@ impl SharedCache {
                 }
             }
         }
-        self.len = self.order.len();
         self.invalidated += dropped;
-        *self.current.lock().expect("shared cache poisoned") = Arc::new(map);
         dropped
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.order.len()
     }
 
     pub fn bytes(&self) -> u64 {
@@ -531,45 +598,123 @@ mod tests {
         b.resolve().unwrap()
     }
 
-    fn parts<'a>(p: &'a Problem, epoch: u64, reserved: &'static [Address]) -> KeyParts<'a> {
-        KeyParts {
-            problem: p,
+    fn key<'a>(
+        p: &'a Problem,
+        epoch: u64,
+        reserved: &'a [Address],
+        rung: DegradationRung,
+        shed: bool,
+    ) -> KeyParts<'a> {
+        KeyParts::new(
+            p,
             epoch,
             reserved,
-            rung: DegradationRung::Full,
-            shed: false,
-            method: EvalMethod::Heuristic,
-            strategy: EvalStrategy::Delta,
-        }
+            rung,
+            shed,
+            EvalMethod::Heuristic,
+            EvalStrategy::Delta,
+        )
     }
 
-    fn value(epoch: u64) -> Arc<CachedSearch> {
-        Arc::new(CachedSearch {
+    fn parts<'a>(p: &'a Problem, epoch: u64, reserved: &'a [Address]) -> KeyParts<'a> {
+        key(p, epoch, reserved, DegradationRung::Full, false)
+    }
+
+    fn value(epoch: u64) -> CachedSearch {
+        CachedSearch {
             backend: Backend::Heuristic,
             search: SearchStats::default(),
             binding: Vec::new(),
             binding_scores: Vec::new(),
             epoch,
-        })
+        }
+    }
+
+    /// Misses `k` twice, so its second sighting is admitted.
+    fn admit(c: &mut QueryCache, k: &KeyParts<'_>, epoch: u64) {
+        assert_eq!(c.insert(k, || value(epoch)), Admission::Deferred);
+        assert_eq!(c.insert(k, || value(epoch)), Admission::Stored);
+    }
+
+    fn doorkeeper_slot(p: &Problem) -> usize {
+        fingerprint_problem(p) as usize & (DOORKEEPER_SLOTS - 1)
     }
 
     #[test]
     fn key_components_all_matter() {
         let mut c = QueryCache::new(CacheConfig::default());
         let p = problem(10);
-        c.insert(&parts(&p, 1, &[]), value(1));
+        admit(&mut c, &parts(&p, 1, &[]), 1);
         assert!(c.lookup(&parts(&p, 1, &[])).is_some());
         // Epoch, reservation mask, rung, shed, and problem all miss.
         assert!(c.lookup(&parts(&p, 2, &[])).is_none());
         assert!(c.lookup(&parts(&p, 1, &[Address(1)])).is_none());
-        let mut k = parts(&p, 1, &[]);
-        k.rung = DegradationRung::FreshSubset;
+        let k = key(&p, 1, &[], DegradationRung::FreshSubset, false);
         assert!(c.lookup(&k).is_none());
-        let mut k = parts(&p, 1, &[]);
-        k.shed = true;
+        let k = key(&p, 1, &[], DegradationRung::Full, true);
         assert!(c.lookup(&k).is_none());
         let other = problem(11);
         assert!(c.lookup(&parts(&other, 1, &[])).is_none());
+    }
+
+    #[test]
+    fn first_sighting_stores_nothing() {
+        let mut c = QueryCache::new(CacheConfig::default());
+        let p = problem(12);
+        let k = parts(&p, 1, &[]);
+        let mut built = false;
+        let admission = c.insert(&k, || {
+            built = true;
+            value(1)
+        });
+        assert_eq!(admission, Admission::Deferred);
+        assert!(!built, "a deferred miss must not build its value");
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.bytes(), 0);
+        assert!(c.lookup(&k).is_none());
+        assert!(c.take_fresh().is_empty(), "nothing queued for L2");
+    }
+
+    #[test]
+    fn second_miss_stores_even_across_epochs() {
+        let mut c = QueryCache::new(CacheConfig::default());
+        let p = problem(13);
+        admit(&mut c, &parts(&p, 1, &[]), 1);
+        assert_eq!(c.len(), 1);
+        assert!(c.lookup(&parts(&p, 1, &[])).is_some());
+        assert_eq!(c.take_fresh().len(), 1);
+        // The doorkeeper is epoch-free: the same problem under a new
+        // epoch is admitted on its first miss there.
+        let k2 = parts(&p, 2, &[]);
+        assert_eq!(c.insert(&k2, || value(2)), Admission::Stored);
+        assert!(c.lookup(&k2).is_some());
+    }
+
+    #[test]
+    fn doorkeeper_collision_never_yields_a_foreign_hit() {
+        // Two distinct problems sharing a doorkeeper slot.
+        let a = problem(100);
+        let b = (101..100_000)
+            .map(problem)
+            .find(|q| doorkeeper_slot(q) == doorkeeper_slot(&a))
+            .expect("some problem shares a slot");
+        assert_ne!(fingerprint_problem(&a), fingerprint_problem(&b));
+        let mut c = QueryCache::new(CacheConfig::default());
+        let (ka, kb) = (parts(&a, 1, &[]), parts(&b, 1, &[]));
+        assert_eq!(c.insert(&ka, || value(1)), Admission::Deferred);
+        // B overwrites A's slot: A's next miss is a first sighting again.
+        assert_eq!(c.insert(&kb, || value(1)), Admission::Deferred);
+        assert_eq!(c.insert(&ka, || value(1)), Admission::Deferred);
+        assert!(c.lookup(&ka).is_none() && c.lookup(&kb).is_none());
+        // A's slot is A's again, so its next miss is stored — and only
+        // under A's full key: B still misses.
+        assert_eq!(c.insert(&ka, || value(1)), Admission::Stored);
+        assert!(c.lookup(&ka).is_some());
+        assert!(c.lookup(&kb).is_none(), "collision produced a foreign hit");
+        let mut shared = SharedCache::new(16);
+        shared.publish(c.take_fresh(), &[1], false);
+        assert!(lookup_shared(&shared.pin(), &ka).is_some());
+        assert!(lookup_shared(&shared.pin(), &kb).is_none());
     }
 
     #[test]
@@ -581,7 +726,7 @@ mod tests {
         let mut c = QueryCache::new(cfg);
         let ps: Vec<Problem> = (0..3).map(|i| problem(20 + i)).collect();
         for p in &ps {
-            c.insert(&parts(p, 1, &[]), value(1));
+            admit(&mut c, &parts(p, 1, &[]), 1);
         }
         assert_eq!(c.len(), 2);
         assert!(c.lookup(&parts(&ps[0], 1, &[])).is_none(), "oldest evicted");
@@ -592,7 +737,7 @@ mod tests {
     fn shared_publish_sweeps_dead_epochs_and_dedups() {
         let mut l1 = QueryCache::new(CacheConfig::default());
         let p = problem(30);
-        l1.insert(&parts(&p, 1, &[]), value(1));
+        admit(&mut l1, &parts(&p, 1, &[]), 1);
         let fresh = l1.take_fresh();
         let mut shared = SharedCache::new(16);
         assert_eq!(shared.publish(fresh.clone(), &[1], false), 0);
@@ -610,6 +755,52 @@ mod tests {
     }
 
     #[test]
+    fn sweep_of_a_full_l2_reports_len_bytes_and_invalidated() {
+        const CAP: usize = 4096;
+        let ps: Vec<Problem> = (0..CAP as u32).map(|i| problem(1000 + i)).collect();
+        // Alternate epochs 1 and 2, so the sweep interleaves dead and
+        // live entries in both the map and the FIFO.
+        let entries: Vec<Entry> = ps
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let epoch = 1 + (i % 2) as u64;
+                Entry::new(&parts(p, epoch, &[]), 0, Arc::new(value(epoch)))
+            })
+            .collect();
+        let live_bytes: u64 = entries
+            .iter()
+            .filter(|e| e.epoch == 2)
+            .map(Entry::approx_bytes)
+            .sum();
+        let mut shared = SharedCache::new(CAP);
+        let pinned = shared.pin();
+        assert_eq!(shared.publish(entries, &[1, 2], false), 0);
+        assert_eq!(shared.len(), CAP);
+        assert!(pinned.is_empty(), "a pinned view never changes");
+        // Epoch 1 dies; live epochs arrive unsorted.
+        assert_eq!(shared.publish(Vec::new(), &[3, 2], true), CAP as u64 / 2);
+        assert_eq!(shared.len(), CAP / 2);
+        assert_eq!(shared.bytes(), live_bytes);
+        assert_eq!(shared.invalidated(), CAP as u64 / 2);
+        assert_eq!(shared.dead_entries(&[2, 3]), 0);
+        let view = shared.pin();
+        assert!(lookup_shared(&view, &parts(&ps[0], 1, &[])).is_none());
+        assert!(lookup_shared(&view, &parts(&ps[1], 2, &[])).is_some());
+        // The FIFO kept exactly the survivors: refilling to the cap
+        // evicts nothing that is still live.
+        let refill: Vec<Entry> = ps
+            .iter()
+            .step_by(2)
+            .map(|p| Entry::new(&parts(p, 3, &[]), 0, Arc::new(value(3))))
+            .collect();
+        shared.publish(refill, &[2, 3], false);
+        assert_eq!(shared.len(), CAP);
+        assert!(lookup_shared(&shared.pin(), &parts(&ps[1], 2, &[])).is_some());
+        assert!(lookup_shared(&shared.pin(), &parts(&ps[0], 3, &[])).is_some());
+    }
+
+    #[test]
     fn disabled_cache_stores_nothing() {
         let cfg = CacheConfig {
             enabled: false,
@@ -617,7 +808,8 @@ mod tests {
         };
         let mut c = QueryCache::new(cfg);
         let p = problem(40);
-        c.insert(&parts(&p, 1, &[]), value(1));
+        assert_eq!(c.insert(&parts(&p, 1, &[]), || value(1)), Admission::Off);
+        assert_eq!(c.insert(&parts(&p, 1, &[]), || value(1)), Admission::Off);
         assert_eq!(c.len(), 0);
         assert!(c.lookup(&parts(&p, 1, &[])).is_none());
     }

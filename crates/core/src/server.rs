@@ -46,7 +46,7 @@ use crate::messages::{LedgerCounters, OverheadLedger};
 use crate::pktsearch::{
     pkt_prepare, pkt_search_prepared, MirrorTopology, PktSearchError, PktSearchOptions,
 };
-use crate::qcache::{CacheConfig, CachedSearch, KeyParts, QueryCache, SharedMap};
+use crate::qcache::{Admission, CacheConfig, CachedSearch, KeyParts, QueryCache, SharedMap};
 use crate::reservation::ReservationTable;
 use crate::sampling::{sample_candidates, DEFAULT_SAMPLE_THRESHOLD};
 use crate::status::StatusSource;
@@ -539,6 +539,7 @@ struct ServerMetricIds {
     cache_l1_hit: CounterId,
     cache_l2_hit: CounterId,
     cache_stale_hit: CounterId,
+    cache_admit_deferred: CounterId,
     cache_artifact_hit: CounterId,
     cache_artifact_miss: CounterId,
     cache_entries: GaugeId,
@@ -565,6 +566,7 @@ impl ServerMetricIds {
             cache_l1_hit: reg.counter("cache.l1_hit"),
             cache_l2_hit: reg.counter("cache.l2_hit"),
             cache_stale_hit: reg.counter("cache.stale_hit"),
+            cache_admit_deferred: reg.counter("cache.admit_deferred"),
             cache_artifact_hit: reg.counter("cache.artifact_hit"),
             cache_artifact_miss: reg.counter("cache.artifact_miss"),
             cache_entries: reg.gauge("cache.entries"),
@@ -590,6 +592,9 @@ pub(crate) struct EvalCore {
     ws: SearchWorkspace,
     /// The L1 answer + artifact cache ([`crate::qcache`]).
     qcache: QueryCache,
+    /// Scratch for the cache key's reservation mask, reused across
+    /// queries so a miss allocates nothing before admission.
+    mask: Vec<Address>,
     /// Monotonic stamp for snapshots gathered by this core. The serving
     /// plane routes every shard refresh through one collector core, so
     /// epochs are unique across shards; the single-server front-end has
@@ -618,6 +623,7 @@ impl EvalCore {
             ids,
             ws: SearchWorkspace::new(),
             qcache,
+            mask: Vec::new(),
             snapshot_seq: 0,
         }
     }
@@ -1016,37 +1022,34 @@ impl EvalCore {
         // the search depends on. The key stores the *configured* method:
         // rung + shed determine the effective one.
         let cache_on = self.qcache.enabled();
-        let mut mask: Vec<Address> = match reserved {
-            Some(pred) if cache_on => addrs.iter().copied().filter(|&a| pred(a)).collect(),
-            _ => Vec::new(),
-        };
-        mask.sort_unstable_by_key(|a| a.0);
-        let key = KeyParts {
-            problem: working,
-            epoch: snapshot.epoch(),
-            reserved: &mask,
-            rung,
-            shed,
-            method: self.cfg.method,
-            strategy: self.cfg.eval_strategy,
-        };
-        let cached = if cache_on {
-            match self.qcache.lookup(&key) {
-                Some(v) => {
-                    self.metrics.inc(self.ids.cache_l1_hit, 1);
-                    Some(v)
-                }
-                None => match shared.and_then(|map| crate::qcache::lookup_shared(map, &key)) {
-                    Some(v) => {
-                        self.metrics.inc(self.ids.cache_l2_hit, 1);
-                        Some(v)
-                    }
-                    None => None,
-                },
+        let mut mask = std::mem::take(&mut self.mask);
+        mask.clear();
+        let key = if cache_on {
+            if let Some(pred) = reserved {
+                mask.extend(addrs.iter().copied().filter(|&a| pred(a)));
+                mask.sort_unstable_by_key(|a| a.0);
             }
+            Some(KeyParts::new(
+                working,
+                snapshot.epoch(),
+                &mask,
+                rung,
+                shed,
+                self.cfg.method,
+                self.cfg.eval_strategy,
+            ))
         } else {
             None
         };
+        let cached = key.as_ref().and_then(|key| {
+            if let Some(v) = self.qcache.lookup(key) {
+                self.metrics.inc(self.ids.cache_l1_hit, 1);
+                return Some(v);
+            }
+            let v = crate::qcache::lookup_shared(shared?, key)?;
+            self.metrics.inc(self.ids.cache_l2_hit, 1);
+            Some(v)
+        });
         let cache_hit = cached.is_some();
 
         let search_span = trace.begin("search", t_collected);
@@ -1064,28 +1067,38 @@ impl EvalCore {
                 self.metrics.inc(self.ids.cache_miss, 1);
             }
             let (backend, search, binding, binding_scores) =
-                self.run_search(working, snapshot, &addrs, reserved, rung, method, space)?;
-            if cache_on {
-                self.qcache.insert(
-                    &key,
-                    Arc::new(CachedSearch {
-                        backend,
-                        search,
-                        binding: binding.clone(),
-                        binding_scores: binding_scores.clone(),
-                        epoch: snapshot.epoch(),
-                    }),
-                );
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    self.metrics
-                        .gauge_set(self.ids.cache_entries, self.qcache.len() as f64);
-                    self.metrics
-                        .gauge_set(self.ids.cache_bytes, self.qcache.bytes() as f64);
+                match self.run_search(working, snapshot, &addrs, reserved, rung, method, space) {
+                    Ok(found) => found,
+                    Err(e) => {
+                        self.mask = mask;
+                        return Err(e);
+                    }
+                };
+            let admission = key.as_ref().map(|key| {
+                self.qcache.insert(key, || CachedSearch {
+                    backend,
+                    search,
+                    binding: binding.clone(),
+                    binding_scores: binding_scores.clone(),
+                    epoch: snapshot.epoch(),
+                })
+            });
+            match admission {
+                Some(Admission::Stored) => {
+                    #[allow(clippy::cast_precision_loss)]
+                    {
+                        self.metrics
+                            .gauge_set(self.ids.cache_entries, self.qcache.len() as f64);
+                        self.metrics
+                            .gauge_set(self.ids.cache_bytes, self.qcache.bytes() as f64);
+                    }
                 }
+                Some(Admission::Deferred) => self.metrics.inc(self.ids.cache_admit_deferred, 1),
+                Some(Admission::Off) | None => {}
             }
             (backend, search, binding, binding_scores)
         };
+        self.mask = mask;
         trace.set_arg(search_span, "enumerated", search.enumerated);
         trace.end(search_span, t_evaluated);
 

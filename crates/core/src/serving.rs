@@ -799,6 +799,7 @@ impl<S: StatusSource> ServingPlane<S> {
             s.l2_hits += m.counter_named("cache.l2_hit").unwrap_or(0);
             s.misses += m.counter_named("cache.miss").unwrap_or(0);
             s.stale_hits += m.counter_named("cache.stale_hit").unwrap_or(0);
+            s.admit_deferred += m.counter_named("cache.admit_deferred").unwrap_or(0);
         }
         s
     }
@@ -1258,6 +1259,8 @@ impl<S: StatusSource> ServingPlane<S> {
         // Merge every worker's fresh L1 inserts into the shared L2 (in
         // worker-index order — deterministic first-writer-wins dedup)
         // and sweep entries orphaned by this wave's shard refreshes.
+        // Unpinning first lets the publish update the map in place.
+        drop(shared_view);
         let mut fresh = Vec::new();
         for slot in &mut self.workers {
             fresh.append(&mut slot.core.cache_take_fresh());
@@ -1293,13 +1296,19 @@ impl<S: StatusSource> ServingPlane<S> {
         if !requested.is_empty() {
             self.ledger.publish(entries);
             // Publication invariant: strictly sorted, nothing lost or
-            // shortened. A violation is a ledger conflict.
+            // shortened. A violation is a ledger conflict. Strict order
+            // makes each address unique, so a binary search finds the
+            // one entry an `any` scan would.
             let cur = self.ledger.current();
-            let sorted_ok = cur.entries().windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
-            let lost = requested.iter().any(|&(a, u)| {
-                !cur.entries().iter().any(|&(x, e)| x == a && e >= u)
-            });
-            if !sorted_ok || lost {
+            let published = cur.entries();
+            let sorted_ok = published.windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
+            let lost = |&(a, u): &(Address, SimTime)| {
+                match published.binary_search_by_key(&a.0, |e| e.0 .0) {
+                    Ok(i) => published[i].1 < u,
+                    Err(_) => true,
+                }
+            };
+            if !sorted_ok || requested.iter().any(lost) {
                 self.ledger.conflicts.fetch_add(1, Ordering::Relaxed);
             }
         }

@@ -18,8 +18,11 @@
 //!   L2 entry keyed on a dead epoch survives a drain.
 //! * The pinned repeat-heavy schedule actually *hits* — the equivalence
 //!   claim is vacuous if the cache never fires.
+//! * Admission: an all-unique schedule stores nothing — every query
+//!   misses once, and no entry reaches L2.
 
 use cloudtalk::aggregate::FleetLayout;
+use cloudtalk::qcache::CacheStats;
 use cloudtalk::serving::{ServingConfig, ServingPlane, TenantId};
 use cloudtalk::server::Answer;
 use cloudtalk::status::TableStatusSource;
@@ -83,8 +86,7 @@ type Fingerprint = (u32, u64, Result<Answer, String>);
 
 struct RunOut {
     fps: Vec<Fingerprint>,
-    hits: u64,
-    misses: u64,
+    cache: CacheStats,
 }
 
 /// Replays `subs` on a plane, draining after every submission. Checks
@@ -133,11 +135,7 @@ fn run(
     if !cache_on {
         prop_assert_eq!(cs.hits() + cs.misses, 0, "disabled cache was consulted");
     }
-    Ok(RunOut {
-        fps,
-        hits: cs.hits(),
-        misses: cs.misses,
-    })
+    Ok(RunOut { fps, cache: cs })
 }
 
 proptest! {
@@ -188,13 +186,43 @@ fn pinned_repeat_heavy_schedule_hits_and_matches() {
         let on = run(workers, true, 20, &subs).unwrap();
         assert_eq!(base.fps, on.fps, "divergence at {workers} workers");
         assert!(
-            on.hits + on.misses >= 60,
+            on.cache.hits() + on.cache.misses >= 60,
             "cache not consulted at {workers} workers"
         );
-        total_hits += on.hits;
+        total_hits += on.cache.hits();
     }
     assert!(
         total_hits > 0,
         "repeat-heavy schedule never hit the cache — equivalence is vacuous"
     );
+}
+
+/// Admission on second sighting: a schedule in which no problem repeats
+/// never stores an entry — every query is a deferred first-sighting
+/// miss and L2 stays empty — while answers still match the uncached run.
+#[test]
+fn all_unique_schedule_stores_nothing() {
+    let subs: Vec<Sub> = (0..40u32)
+        .map(|i| {
+            let base = (i % RACKS) * HOSTS_PER_RACK + 1;
+            let nodes: Vec<Address> = (base..base + HOSTS_PER_RACK).map(Address).collect();
+            Sub {
+                tenant: TenantId(i % 4),
+                arrival: SimTime::ZERO + SimDuration::from_micros(u64::from(i) * 700),
+                problem: hdfs_write_query(Address(6000 + i), &nodes, 2, 1e6)
+                    .resolve()
+                    .unwrap(),
+            }
+        })
+        .collect();
+    let off = run(2, false, 20, &subs).unwrap();
+    assert_eq!(off.fps.len(), subs.len(), "every accepted query completes");
+    for workers in [1usize, 2] {
+        let on = run(workers, true, 20, &subs).unwrap();
+        assert_eq!(off.fps, on.fps, "divergence at {workers} workers");
+        assert_eq!(on.cache.hits(), 0);
+        assert_eq!(on.cache.misses, subs.len() as u64);
+        assert_eq!(on.cache.admit_deferred, subs.len() as u64);
+        assert_eq!(on.cache.l2_entries, 0, "a first sighting reached L2");
+    }
 }

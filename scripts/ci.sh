@@ -25,6 +25,9 @@ cargo test -q -p cloudtalk --test aggregate_props
 echo "=== benches compile ==="
 cargo bench --no-run --workspace
 
+echo "=== perfbench self-tests (own package outside the workspace; builds against the core API) ==="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== delta estimator equivalence (apply/undo vs scratch, bit-identical) ==="
 cargo test -q -p estimator --test delta_props
 
