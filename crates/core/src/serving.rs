@@ -96,7 +96,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cloudtalk_lang::problem::{Address, Problem, Value};
+use cloudtalk_lang::problem::{Address, Endpoint, Problem, Value};
 use desim::rng::{derive_seed, stream_rng, DetRng};
 use desim::{SimDuration, SimTime};
 use obs::{
@@ -953,14 +953,28 @@ impl<S: StatusSource> ServingPlane<S> {
     /// The shard a problem is routed to: the shard of its lowest
     /// mentioned in-fleet address (shard 0 for fleet-less problems).
     fn shard_of(&self, problem: &Problem) -> usize {
-        let mut addrs = problem.mentioned_addresses();
-        addrs.sort_unstable_by_key(|a| a.0);
-        for a in addrs {
-            if let Some(r) = self.layout.rack_of(a) {
-                return (r.0 as usize / self.cfg.racks_per_shard).min(self.shards.len() - 1);
+        let pools = problem.vars.iter().flat_map(|v| &v.candidates);
+        let pooled = pools.filter_map(|value| match value {
+            Value::Addr(a) => Some(*a),
+            Value::Disk => None,
+        });
+        let fixed = problem
+            .flows
+            .iter()
+            .flat_map(|f| [f.src, f.dst])
+            .filter_map(Endpoint::as_addr);
+        let mut lowest: Option<(Address, RackId)> = None;
+        for a in pooled.chain(fixed) {
+            if a == Address::UNKNOWN || lowest.is_some_and(|(low, _)| low <= a) {
+                continue;
+            }
+            if let Some(rack) = self.layout.rack_of(a) {
+                lowest = Some((a, rack));
             }
         }
-        0
+        lowest.map_or(0, |(_, rack)| {
+            (rack.0 as usize / self.cfg.racks_per_shard).min(self.shards.len() - 1)
+        })
     }
 
     /// Merges `fresh` worker inserts into the shared L2 and — when any

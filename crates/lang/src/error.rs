@@ -29,6 +29,17 @@ impl Span {
     pub const DUMMY: Span = Span { start: 0, end: 0 };
 }
 
+/// The class of failure a [`LangError`] reports.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ErrorKind {
+    /// The query is malformed or semantically invalid.
+    Invalid,
+    /// An expression nests deeper than [`crate::parser::MAX_EXPR_DEPTH`];
+    /// the parser refuses it before any recursive pass can overflow the
+    /// stack.
+    TooDeep,
+}
+
 /// An error produced while lexing, parsing, or validating a query.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LangError {
@@ -36,14 +47,30 @@ pub struct LangError {
     pub message: String,
     /// Location in the source text, when known.
     pub span: Span,
+    /// The class of failure.
+    pub kind: ErrorKind,
 }
 
 impl LangError {
-    /// Creates an error anchored at `span`.
+    /// Creates an [`ErrorKind::Invalid`] error anchored at `span`.
     pub fn new(message: impl Into<String>, span: Span) -> Self {
         LangError {
             message: message.into(),
             span,
+            kind: ErrorKind::Invalid,
+        }
+    }
+
+    /// Creates an [`ErrorKind::TooDeep`] error anchored at the token that
+    /// crossed the depth limit.
+    pub fn too_deep(span: Span) -> Self {
+        LangError {
+            message: format!(
+                "expression nests deeper than {} levels",
+                crate::parser::MAX_EXPR_DEPTH
+            ),
+            span,
+            kind: ErrorKind::TooDeep,
         }
     }
 

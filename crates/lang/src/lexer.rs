@@ -9,15 +9,22 @@ use crate::token::{Token, TokenKind};
 use crate::units::suffix_multiplier;
 
 /// Lexes a whole query into tokens (ending with a single [`TokenKind::Eof`]).
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+///
+/// Identifier tokens borrow from `source`; the token vector is the only
+/// allocation for query text of ordinary density.
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
     Lexer::new(source).run()
 }
+
+/// The most tokens the lexer reserves room for up front, so a huge query
+/// does not reserve memory in proportion to its length before lexing.
+const MAX_PRESIZED_TOKENS: usize = 4096;
 
 struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -26,11 +33,14 @@ impl<'a> Lexer<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            tokens: Vec::new(),
+            // A token and the separator after it span two bytes or more
+            // in written queries, so this fits without regrowing; denser
+            // text (`((((`) and text past the cap grow the vector as usual.
+            tokens: Vec::with_capacity((src.len() / 2 + 2).min(MAX_PRESIZED_TOKENS)),
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, LangError> {
+    fn run(mut self) -> Result<Vec<Token<'a>>, LangError> {
         while let Some(&b) = self.bytes.get(self.pos) {
             let start = self.pos;
             match b {
@@ -106,7 +116,7 @@ impl<'a> Lexer<'a> {
         Ok(self.tokens)
     }
 
-    fn emit(&mut self, kind: TokenKind, start: usize) {
+    fn emit(&mut self, kind: TokenKind<'a>, start: usize) {
         self.tokens.push(Token {
             kind,
             span: Span::new(start, self.pos),
@@ -122,7 +132,7 @@ impl<'a> Lexer<'a> {
         {
             self.pos += 1;
         }
-        let text = self.src[start..self.pos].to_string();
+        let text = &self.src[start..self.pos];
         self.emit(TokenKind::Ident(text), start);
     }
 
@@ -220,7 +230,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -230,11 +240,11 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("A".into()),
+                TokenKind::Ident("A"),
                 TokenKind::Equals,
                 TokenKind::LParen,
-                TokenKind::Ident("vm2".into()),
-                TokenKind::Ident("vm3".into()),
+                TokenKind::Ident("vm2"),
+                TokenKind::Ident("vm3"),
                 TokenKind::RParen,
                 TokenKind::Eof,
             ]
@@ -283,9 +293,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::StatementEnd,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Eof,
             ]
         );

@@ -46,7 +46,7 @@ pub mod units;
 pub mod validate;
 
 pub use ast::Query;
-pub use error::{LangError, Span};
+pub use error::{ErrorKind, LangError, Span};
 pub use parser::parse_query;
 pub use problem::{Address, Endpoint, Problem};
 pub use validate::{resolve, MapResolver, Resolver};

@@ -17,6 +17,10 @@
 //!
 //! A leading identifier is a flow *name* when the token after it starts
 //! another endpoint; it is the *source endpoint* when followed by `->`.
+//!
+//! Tokens are `Copy` and borrow the source, so the parser allocates only
+//! the AST itself: a `String` per [`Ident`] node, the statement and
+//! attribute vectors, and the boxes of binary expressions.
 
 use crate::ast::{
     Attr, AttrKind, BinOp, EndpointAst, Expr, FlowDef, FlowRef, Ident, Query, RefAttr, Statement,
@@ -25,6 +29,14 @@ use crate::ast::{
 use crate::error::{LangError, Span};
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
+
+/// The deepest expression the parser accepts, counting parenthesis
+/// nesting and operator-tree height together. Expressions are walked
+/// recursively (parsed, resolved, evaluated, printed, dropped), so an
+/// unbounded `((((…` or `1+1+…+1` would overflow the stack; deeper input
+/// is refused with an [`ErrorKind::TooDeep`](crate::ErrorKind::TooDeep)
+/// error instead.
+pub const MAX_EXPR_DEPTH: usize = 256;
 
 /// Parses a complete CloudTalk query.
 ///
@@ -36,20 +48,30 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse_query(source: &str) -> Result<Query, LangError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.parse()
+    Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    }
+    .parse()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// An expression and the height of its operator tree (0 for a leaf).
+type Parsed = (Expr, usize);
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Parentheses open around the expression being parsed.
+    nesting: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn parse(mut self) -> Result<Query, LangError> {
         let mut statements = Vec::new();
         loop {
             self.skip_statement_ends();
-            if self.peek_kind() == &TokenKind::Eof {
+            if self.peek_kind() == TokenKind::Eof {
                 break;
             }
             statements.push(self.parse_statement()?);
@@ -68,9 +90,7 @@ impl Parser {
 
     fn parse_statement(&mut self) -> Result<Statement, LangError> {
         // Lookahead to classify: IDENT "=" … is a variable declaration.
-        if matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) == &TokenKind::Equals
-        {
+        if self.at_ident_then(TokenKind::Equals) {
             return Ok(Statement::VarDecl(self.parse_var_decl()?));
         }
         Ok(Statement::Flow(self.parse_flow()?))
@@ -81,16 +101,14 @@ impl Parser {
         let mut names = vec![self.expect_ident()?];
         self.expect(TokenKind::Equals)?;
         // Chained declarations: B = C = D = ( … ).
-        while matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) == &TokenKind::Equals
-        {
+        while self.at_ident_then(TokenKind::Equals) {
             names.push(self.expect_ident()?);
             self.expect(TokenKind::Equals)?;
         }
         self.expect(TokenKind::LParen)?;
         let mut values = Vec::new();
-        while self.peek_kind() != &TokenKind::RParen {
-            if self.peek_kind() == &TokenKind::Eof {
+        while self.peek_kind() != TokenKind::RParen {
+            if self.peek_kind() == TokenKind::Eof {
                 return Err(LangError::new(
                     "unclosed value pool: expected `)`",
                     self.peek_span(),
@@ -117,7 +135,7 @@ impl Parser {
         // Optional flow name: an identifier NOT followed by `->` (if it were,
         // that identifier is itself the source endpoint).
         let name = if matches!(self.peek_kind(), TokenKind::Ident(_))
-            && self.peek_kind_at(1) != &TokenKind::Arrow
+            && self.peek_kind_at(1) != TokenKind::Arrow
         {
             Some(self.expect_ident()?)
         } else {
@@ -142,7 +160,7 @@ impl Parser {
                     kw.span,
                 ));
             }
-            let value = self.parse_expr()?;
+            let (value, _) = self.parse_expr()?;
             attrs.push(Attr {
                 kind,
                 value,
@@ -170,11 +188,9 @@ impl Parser {
                 addr,
                 span: tok.span,
             }),
-            TokenKind::Ident(text) if text == "disk" => {
-                Ok(EndpointAst::Disk { span: tok.span })
-            }
+            TokenKind::Ident("disk") => Ok(EndpointAst::Disk { span: tok.span }),
             TokenKind::Ident(text) => Ok(EndpointAst::Name(Ident {
-                text,
+                text: text.to_owned(),
                 span: tok.span,
             })),
             other => Err(LangError::new(
@@ -187,61 +203,71 @@ impl Parser {
         }
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.parse_term()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_term()?;
+    fn parse_expr(&mut self) -> Result<Parsed, LangError> {
+        self.parse_binary(Self::parse_term, |kind| match kind {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
+    }
+
+    fn parse_term(&mut self) -> Result<Parsed, LangError> {
+        self.parse_binary(Self::parse_factor, |kind| match kind {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// Parses `operand { op operand }` left-associatively, refusing a
+    /// chain whose tree would nest deeper than [`MAX_EXPR_DEPTH`].
+    fn parse_binary(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Parsed, LangError>,
+        op_of: fn(TokenKind<'a>) -> Option<BinOp>,
+    ) -> Result<Parsed, LangError> {
+        let (mut lhs, mut height) = operand(self)?;
+        while let Some(op) = op_of(self.peek_kind()) {
+            let op_span = self.advance().span;
+            let (rhs, rhs_height) = operand(self)?;
+            height = 1 + height.max(rhs_height);
+            if self.nesting + height > MAX_EXPR_DEPTH {
+                return Err(LangError::too_deep(op_span));
+            }
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_term(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.parse_factor()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_factor()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_factor(&mut self) -> Result<Expr, LangError> {
-        match self.peek_kind().clone() {
+    fn parse_factor(&mut self) -> Result<Parsed, LangError> {
+        match self.peek_kind() {
             TokenKind::Number(value) => {
                 let tok = self.advance();
-                Ok(Expr::Literal {
-                    value,
-                    span: tok.span,
-                })
+                Ok((
+                    Expr::Literal {
+                        value,
+                        span: tok.span,
+                    },
+                    0,
+                ))
             }
             TokenKind::LParen => {
-                self.advance();
+                let open = self.advance();
+                if self.nesting + 1 > MAX_EXPR_DEPTH {
+                    return Err(LangError::too_deep(open.span));
+                }
+                self.nesting += 1;
                 let inner = self.parse_expr()?;
+                self.nesting -= 1;
                 self.expect(TokenKind::RParen)?;
                 Ok(inner)
             }
             TokenKind::Ident(word) => {
-                let Some(attr) = RefAttr::from_keyword(&word) else {
+                let Some(attr) = RefAttr::from_keyword(word) else {
                     return Err(LangError::new(
                         format!("unknown reference `{word}` (expected st/e/sz/r/t)"),
                         self.peek_span(),
@@ -249,7 +275,7 @@ impl Parser {
                 };
                 let head = self.advance();
                 self.expect(TokenKind::LParen)?;
-                let flow = match self.peek_kind().clone() {
+                let flow = match self.peek_kind() {
                     TokenKind::Number(v) => {
                         let tok = self.advance();
                         if v.fract() != 0.0 || v < 1.0 {
@@ -266,11 +292,14 @@ impl Parser {
                     _ => FlowRef::Named(self.expect_ident()?),
                 };
                 let close = self.expect(TokenKind::RParen)?;
-                Ok(Expr::Ref {
-                    attr,
-                    flow,
-                    span: head.span.merge(close.span),
-                })
+                Ok((
+                    Expr::Ref {
+                        attr,
+                        flow,
+                        span: head.span.merge(close.span),
+                    },
+                    0,
+                ))
             }
             other => Err(LangError::new(
                 format!("expected value, found {}", other.describe()),
@@ -281,29 +310,34 @@ impl Parser {
 
     // --- token plumbing -------------------------------------------------
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek_kind(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_kind_at(&self, offset: usize) -> &TokenKind {
+    fn peek_kind_at(&self, offset: usize) -> TokenKind<'a> {
         let idx = (self.pos + offset).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
+    }
+
+    /// Whether the next tokens are an identifier followed by `kind`.
+    fn at_ident_then(&self, kind: TokenKind<'_>) -> bool {
+        matches!(self.peek_kind(), TokenKind::Ident(_)) && self.peek_kind_at(1) == kind
     }
 
     fn peek_span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn advance(&mut self) -> Token {
-        let tok = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'a> {
+        let tok = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         tok
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, LangError> {
-        if self.peek_kind() == &kind {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'a>, LangError> {
+        if self.peek_kind() == kind {
             Ok(self.advance())
         } else {
             Err(LangError::new(
@@ -318,11 +352,11 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<Ident, LangError> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Ident(text) => {
                 let tok = self.advance();
                 Ok(Ident {
-                    text,
+                    text: text.to_owned(),
                     span: tok.span,
                 })
             }
@@ -334,7 +368,7 @@ impl Parser {
     }
 
     fn skip_statement_ends(&mut self) {
-        while self.peek_kind() == &TokenKind::StatementEnd {
+        while self.peek_kind() == TokenKind::StatementEnd {
             self.advance();
         }
     }

@@ -1,23 +1,27 @@
 //! Token definitions for the CloudTalk language.
+//!
+//! Tokens borrow their text from the query source, so they are `Copy`
+//! and lexing allocates nothing but the token vector itself.
 
 use std::fmt;
 
 use crate::error::Span;
 
 /// A lexical token with its source span.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// What kind of token this is, with any payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it appears in the source.
     pub span: Span,
 }
 
 /// The kinds of token the lexer produces.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum TokenKind<'a> {
     /// An identifier: flow names, variable names, symbolic hosts, keywords.
-    Ident(String),
+    /// Borrowed from the source text.
+    Ident(&'a str),
     /// A numeric literal, already scaled by any size suffix (`256M` → bytes).
     Number(f64),
     /// A dotted-quad IPv4 address literal.
@@ -44,7 +48,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short human-readable description used in error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -67,7 +71,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
     }

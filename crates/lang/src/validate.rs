@@ -10,9 +10,10 @@
 //! * degenerate flows (`disk -> disk`, variable used as its own pool value).
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::ast::{AttrKind, EndpointAst, Expr, FlowRef, Query};
+use crate::ast::{AttrKind, EndpointAst, Expr, FlowRef, Query, RefAttr};
 use crate::error::{LangError, Span};
 use crate::problem::{Address, Endpoint, ExprR, Flow, FlowId, Problem, Value, VarId, Variable};
 
@@ -88,6 +89,16 @@ impl Resolver for InterningResolver {
     }
 }
 
+/// What a name declared in the query denotes. Variables and flows share
+/// one namespace, so a single map keyed on the AST's own text serves both.
+#[derive(Clone, Copy)]
+enum Named {
+    Var(VarId),
+    Flow(FlowId),
+}
+
+type Names<'q> = HashMap<&'q str, Named>;
+
 /// Resolves a parsed query into a problem instance.
 ///
 /// # Examples
@@ -102,12 +113,14 @@ impl Resolver for InterningResolver {
 /// assert_eq!(problem.flows.len(), 1);
 /// ```
 pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangError> {
+    let n_vars: usize = query.var_decls().map(|d| d.names.len()).sum();
+    let n_flows = query.flows().count();
     let mut problem = Problem {
-        vars: Vec::new(),
-        flows: Vec::new(),
+        vars: Vec::with_capacity(n_vars),
+        flows: Vec::with_capacity(n_flows),
         distinct: true,
     };
-    let mut var_names: HashMap<String, VarId> = HashMap::new();
+    let mut names: Names<'_> = HashMap::with_capacity(n_vars + n_flows);
 
     // Pass 1: variables.
     for (pool, decl) in query.var_decls().enumerate() {
@@ -135,57 +148,58 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
                 }
             });
         }
-        for name in &decl.names {
-            if var_names.contains_key(&name.text) {
+        for (i, name) in decl.names.iter().enumerate() {
+            let Entry::Vacant(slot) = names.entry(&name.text) else {
                 return Err(LangError::new(
                     format!("variable `{}` declared twice", name.text),
                     name.span,
                 ));
-            }
-            let id = VarId(problem.vars.len());
-            var_names.insert(name.text.clone(), id);
+            };
+            slot.insert(Named::Var(VarId(problem.vars.len())));
+            // The last name of a chained declaration takes the pool itself.
+            let candidates = if i + 1 == decl.names.len() {
+                std::mem::take(&mut candidates)
+            } else {
+                candidates.clone()
+            };
             problem.vars.push(Variable {
                 name: name.text.clone(),
-                candidates: candidates.clone(),
+                candidates,
                 pool,
             });
         }
     }
 
     // Pass 2: flow names (so references can be forward).
-    let mut flow_names: HashMap<String, FlowId> = HashMap::new();
     for (idx, flow) in query.flows().enumerate() {
         if let Some(name) = &flow.name {
-            if flow_names.contains_key(&name.text) {
-                return Err(LangError::new(
-                    format!("flow `{}` defined twice", name.text),
-                    name.span,
-                ));
-            }
-            if var_names.contains_key(&name.text) {
-                return Err(LangError::new(
-                    format!("`{}` is both a variable and a flow name", name.text),
-                    name.span,
-                ));
-            }
-            flow_names.insert(name.text.clone(), FlowId(idx));
+            let message = match names.entry(&name.text) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Named::Flow(FlowId(idx)));
+                    continue;
+                }
+                Entry::Occupied(taken) => match taken.get() {
+                    Named::Flow(_) => format!("flow `{}` defined twice", name.text),
+                    Named::Var(_) => format!("`{}` is both a variable and a flow name", name.text),
+                },
+            };
+            return Err(LangError::new(message, name.span));
         }
     }
 
     // Pass 3: flows.
     for flow_def in query.flows() {
-        let src = resolve_endpoint(&flow_def.src, &var_names, resolver)?;
-        let dst = resolve_endpoint(&flow_def.dst, &var_names, resolver)?;
+        let src = resolve_endpoint(&flow_def.src, &names, resolver)?;
+        let dst = resolve_endpoint(&flow_def.dst, &names, resolver)?;
         if src == Endpoint::Disk && dst == Endpoint::Disk {
             return Err(LangError::new(
                 "flow cannot have `disk` as both endpoints",
                 flow_def.span,
             ));
         }
-        let n_flows = query.flows().count();
         let mut flow = Flow::new(flow_def.name.as_ref().map(|n| n.text.clone()), src, dst);
         for attr in &flow_def.attrs {
-            let expr = resolve_expr(&attr.value, &flow_names, n_flows)?;
+            let expr = resolve_expr(&attr.value, &names, n_flows)?;
             flow.set_attr(attr.kind, expr);
         }
         problem.flows.push(flow);
@@ -197,7 +211,7 @@ pub fn resolve(query: &Query, resolver: &impl Resolver) -> Result<Problem, LangE
 
 fn resolve_endpoint(
     ep: &EndpointAst,
-    vars: &HashMap<String, VarId>,
+    names: &Names<'_>,
     resolver: &impl Resolver,
 ) -> Result<Endpoint, LangError> {
     Ok(match ep {
@@ -205,7 +219,7 @@ fn resolve_endpoint(
         EndpointAst::Addr { addr, .. } => Endpoint::Addr(Address(*addr)),
         EndpointAst::Disk { .. } => Endpoint::Disk,
         EndpointAst::Name(ident) => {
-            if let Some(var) = vars.get(&ident.text) {
+            if let Some(Named::Var(var)) = names.get(ident.text.as_str()) {
                 Endpoint::Var(*var)
             } else if let Some(addr) = resolver.resolve(&ident.text) {
                 Endpoint::Addr(addr)
@@ -222,21 +236,20 @@ fn resolve_endpoint(
     })
 }
 
-fn resolve_expr(
-    expr: &Expr,
-    flows: &HashMap<String, FlowId>,
-    n_flows: usize,
-) -> Result<ExprR, LangError> {
+fn resolve_expr(expr: &Expr, names: &Names<'_>, n_flows: usize) -> Result<ExprR, LangError> {
     Ok(match expr {
         Expr::Literal { value, .. } => ExprR::Literal(*value),
         Expr::Ref { attr, flow, span } => {
             let id = match flow {
-                FlowRef::Named(ident) => *flows.get(&ident.text).ok_or_else(|| {
-                    LangError::new(
-                        format!("reference to unknown flow `{}`", ident.text),
-                        *span,
-                    )
-                })?,
+                FlowRef::Named(ident) => match names.get(ident.text.as_str()) {
+                    Some(Named::Flow(id)) => *id,
+                    _ => {
+                        return Err(LangError::new(
+                            format!("reference to unknown flow `{}`", ident.text),
+                            *span,
+                        ))
+                    }
+                },
                 FlowRef::Index { index, span } => {
                     if *index == 0 || *index > n_flows {
                         return Err(LangError::new(
@@ -253,14 +266,18 @@ fn resolve_expr(
         }
         Expr::Binary { op, lhs, rhs } => ExprR::Binary(
             *op,
-            Box::new(resolve_expr(lhs, flows, n_flows)?),
-            Box::new(resolve_expr(rhs, flows, n_flows)?),
+            Box::new(resolve_expr(lhs, names, n_flows)?),
+            Box::new(resolve_expr(rhs, names, n_flows)?),
         ),
     })
 }
 
 /// Rejects cyclic `size` references (`sz(f)` chains must be a DAG; a flow's
 /// size depending on itself has no solution).
+///
+/// A depth-first search over the size dependencies, kept on an explicit
+/// stack so a long `sz(…)` chain cannot overflow the thread's stack. It
+/// allocates nothing when no flow's size refers to another flow.
 fn check_size_cycles(problem: &Problem) -> Result<(), LangError> {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
@@ -268,53 +285,84 @@ fn check_size_cycles(problem: &Problem) -> Result<(), LangError> {
         Grey,
         Black,
     }
-    let n = problem.flows.len();
-    let mut marks = vec![Mark::White; n];
 
-    fn visit(problem: &Problem, marks: &mut [Mark], idx: usize) -> Result<(), LangError> {
-        marks[idx] = Mark::Grey;
-        if let Some(expr) = problem.flows[idx].attr(AttrKind::Size) {
-            let mut cycle: Option<usize> = None;
-            expr.for_each_ref(&mut |attr, flow| {
-                if attr == crate::ast::RefAttr::Size {
-                    match marks[flow.0] {
-                        Mark::Grey => cycle = Some(flow.0),
-                        Mark::White => {
-                            // Recurse below (collected first to keep closure simple).
-                        }
-                        Mark::Black => {}
-                    }
+    /// Calls `f` with every flow `flow`'s size refers to, in source order.
+    fn for_each_size_dep(flow: &Flow, mut f: impl FnMut(usize)) {
+        if let Some(expr) = flow.attr(AttrKind::Size) {
+            expr.for_each_ref(&mut |attr, dep| {
+                if attr == RefAttr::Size {
+                    f(dep.0);
                 }
             });
-            if let Some(at) = cycle {
-                let name = problem.flows[at]
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("#{at}"));
-                return Err(LangError::new(
-                    format!("cyclic `size` reference involving flow `{name}`"),
-                    Span::DUMMY,
-                ));
-            }
-            let mut targets = Vec::new();
-            expr.for_each_ref(&mut |attr, flow| {
-                if attr == crate::ast::RefAttr::Size && marks[flow.0] == Mark::White {
-                    targets.push(flow.0);
-                }
-            });
-            for t in targets {
-                if marks[t] == Mark::White {
-                    visit(problem, marks, t)?;
-                }
-            }
         }
-        marks[idx] = Mark::Black;
+    }
+
+    /// Greys `idx` and pushes its frame: its still-white dependencies go
+    /// on `pending`, and the frame is `(idx, first pending slot, cursor)`.
+    fn enter(
+        problem: &Problem,
+        marks: &mut [Mark],
+        pending: &mut Vec<usize>,
+        frames: &mut Vec<(usize, usize, usize)>,
+        idx: usize,
+    ) -> Result<(), LangError> {
+        marks[idx] = Mark::Grey;
+        let flow = &problem.flows[idx];
+        let mut cycle: Option<usize> = None;
+        for_each_size_dep(flow, |dep| {
+            if marks[dep] == Mark::Grey {
+                cycle = Some(dep);
+            }
+        });
+        if let Some(at) = cycle {
+            let name = problem.flows[at]
+                .name
+                .clone()
+                .unwrap_or_else(|| format!("#{at}"));
+            return Err(LangError::new(
+                format!("cyclic `size` reference involving flow `{name}`"),
+                Span::DUMMY,
+            ));
+        }
+        let start = pending.len();
+        for_each_size_dep(flow, |dep| {
+            if marks[dep] == Mark::White {
+                pending.push(dep);
+            }
+        });
+        frames.push((idx, start, start));
         Ok(())
     }
 
-    for i in 0..n {
-        if marks[i] == Mark::White {
-            visit(problem, &mut marks, i)?;
+    let mut any_dep = false;
+    for flow in &problem.flows {
+        for_each_size_dep(flow, |_| any_dep = true);
+    }
+    if !any_dep {
+        return Ok(());
+    }
+
+    let mut marks = vec![Mark::White; problem.flows.len()];
+    let mut pending: Vec<usize> = Vec::new();
+    let mut frames: Vec<(usize, usize, usize)> = Vec::new();
+    for root in 0..problem.flows.len() {
+        if marks[root] != Mark::White {
+            continue;
+        }
+        enter(problem, &mut marks, &mut pending, &mut frames, root)?;
+        while let Some(frame) = frames.last_mut() {
+            let (idx, start, cursor) = *frame;
+            if cursor == pending.len() {
+                marks[idx] = Mark::Black;
+                pending.truncate(start);
+                frames.pop();
+                continue;
+            }
+            frame.2 += 1;
+            let dep = pending[cursor];
+            if marks[dep] == Mark::White {
+                enter(problem, &mut marks, &mut pending, &mut frames, dep)?;
+            }
         }
     }
     Ok(())

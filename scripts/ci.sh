@@ -108,6 +108,9 @@ echo "=== obs hot paths allocation-free (trace arena + telemetry rings) ==="
 cargo test -q -p obs --test trace_alloc
 cargo test -q -p obs --test timeseries_alloc
 
+echo "=== language front end allocation budget (lex once, parse/resolve pinned) ==="
+cargo test -q -p cloudtalk-lang --test front_end_alloc
+
 echo "=== no stray prints in library crates (exporters own all output) ==="
 if grep -rn "println!\|eprintln!" crates/core/src crates/simnet/src; then
     echo "error: println!/eprintln! found in library code — use obs exporters"
